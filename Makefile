@@ -72,12 +72,12 @@ golden: lint
 	$(GO) test ./cmd/camelot-trace -update
 
 # Machine-readable benchmark report for the performance trajectory:
-# every simulated table plus the host-dependent real-runtime (R1) and
-# real-network (R2/R3/R4, including the sharded data tier) experiments.
-# CI archives the file per commit.
+# every simulated table plus the host-dependent real-runtime (R1)
+# experiment. The real-network numbers come from the open-loop load
+# generator (make loadgen). CI archives the file per commit.
 bench:
-	$(GO) run ./cmd/camelot-bench -quick -json -realtime -realnet > BENCH_8.json
-	@echo "wrote BENCH_8.json"
+	$(GO) run ./cmd/camelot-bench -quick -json -realtime > bench-report.json
+	@echo "wrote bench-report.json"
 
 # The open-loop load generator (R5, DESIGN.md §13): a seeded arrival
 # schedule at each target rate drives a freshly booted real 3-site

@@ -44,6 +44,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -429,6 +430,13 @@ func runCluster(cfg clusterConfig) (*report, error) {
 		Protocol: cfg.Protocol, Killed: int(victim), Violations: []string{},
 		Shards: cfg.Shards}
 
+	// Sharded views route presence checks by key (empty server name);
+	// legacy views address the single "store" server.
+	oracleServer := "store"
+	if smap != nil {
+		oracleServer = ""
+	}
+
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	txns := make([]oracle.Txn, cfg.Txns)
 	for i := 0; i < cfg.Txns; i++ {
@@ -438,17 +446,18 @@ func runCluster(cfg clusterConfig) (*report, error) {
 				// SIGKILLed with its commit in flight; the survivors
 				// must resolve it — and release its locks — before the
 				// coordinator ever comes back.
+				tx, ops := allSitesTxn(i, sites)
+				protocol := cfg.Protocol
 				if smap != nil {
-					txns[i] = runShardTxnKillCoordinator(i, procs, cfg.Protocol, victim, smap)
-					time.Sleep(20 * cfg.Retry)
-					rep.Violations = append(rep.Violations,
-						shardSurvivorsResolved(sites, procs, txns[i])...)
-				} else {
-					txns[i] = runTxnKillCoordinator(i, sites, procs, cfg.Protocol, victim)
-					time.Sleep(20 * cfg.Retry)
-					rep.Violations = append(rep.Violations,
-						survivorsResolved(sites, procs, txns[i])...)
+					tx, ops = shardAllSitesTxn(i, smap)
+					if protocol == "" {
+						protocol = shardProtocols[i%len(shardProtocols)]
+					}
 				}
+				txns[i] = runTxnKillCoordinator(procs, victim, ops, protocol, tx)
+				time.Sleep(20 * cfg.Retry)
+				rep.Violations = append(rep.Violations,
+					survivorsResolved(procs, oracleServer, txns[i])...)
 				continue
 			}
 			procs[victim].kill()
@@ -462,7 +471,7 @@ func runCluster(cfg clusterConfig) (*report, error) {
 			}
 		}
 		if smap != nil {
-			txns[i] = runShardTxn(rng, i, sites, procs, cfg.Protocol, smap)
+			txns[i] = runShardTxn(rng, i, procs, cfg.Protocol, smap)
 		} else {
 			txns[i] = runTxn(rng, i, sites, procs, cfg.Protocol)
 		}
@@ -472,12 +481,6 @@ func runCluster(cfg clusterConfig) (*report, error) {
 	// fan-ins finish against the healed cluster.
 	time.Sleep(20 * cfg.Retry)
 
-	// Sharded views route presence checks by key (empty server name);
-	// legacy views address the single "store" server.
-	oracleServer := "store"
-	if smap != nil {
-		oracleServer = ""
-	}
 	views := make(map[camelot.SiteID]oracle.SiteView, len(sites))
 	for _, id := range sites {
 		views[id] = &ctl.View{C: procs[id].client, Server: oracleServer}
@@ -556,6 +559,58 @@ func crossShard(tx oracle.Txn) bool {
 	return false
 }
 
+// clientOf resolves a site to its control client for ctl.Stage,
+// failing for a killed site.
+func clientOf(procs map[camelot.SiteID]*proc) func(camelot.SiteID) (*ctl.Client, error) {
+	return func(id camelot.SiteID) (*ctl.Client, error) {
+		if p := procs[id]; !p.down {
+			return p.client, nil
+		}
+		return nil, fmt.Errorf("site %d is down", id)
+	}
+}
+
+// storeWrites writes key at the "store" server of every site in
+// order, each site's value naming the transaction and the site.
+func storeWrites(i int, key string, sites []camelot.SiteID) []ctl.Op {
+	ops := make([]ctl.Op, 0, len(sites))
+	for _, id := range sites {
+		ops = append(ops, ctl.Op{Site: id, Server: "store", Key: key, Val: []byte(fmt.Sprintf("v%d@%d", i, id))})
+	}
+	return ops
+}
+
+// outcomeOf is the client's view of a transaction from the error of
+// ctl.Stage or of the commit that followed it.
+func outcomeOf(t camelot.TID, err error) oracle.Outcome {
+	switch {
+	case t.IsZero():
+		return oracle.Skipped
+	case err == nil:
+		return oracle.Committed
+	case errors.Is(err, ctl.ErrAborted):
+		return oracle.Aborted
+	}
+	return oracle.Unknown
+}
+
+// runOps stages ops at coord, commits them under protocol, and
+// records the client's view in tx. It returns the failure, if any.
+func runOps(at func(camelot.SiteID) (*ctl.Client, error), coord camelot.SiteID, ops []ctl.Op,
+	protocol string, tx *oracle.Txn) error {
+
+	t, err := ctl.Stage(at, coord, ops)
+	if err == nil {
+		var c *ctl.Client
+		if c, err = at(coord); err == nil {
+			_, err = c.CommitWith(t, protocol)
+		}
+	}
+	tx.Family = t.Family
+	tx.Outcome = outcomeOf(t, err)
+	return err
+}
+
 // runTxn drives one workload transaction: a random up coordinator, a
 // random write set (the txn's key written at each member), sometimes
 // a read-only participant (exercising the read-only vote), sometimes
@@ -575,6 +630,12 @@ func runTxn(rng *rand.Rand, i int, sites []camelot.SiteID, procs map[camelot.Sit
 	withReader := rng.Float64() < 0.3
 	readerPick := rng.Intn(len(sites))
 	nonBlocking := rng.Float64() < 0.3
+	if protocol == "" {
+		protocol = "2pc"
+		if nonBlocking {
+			protocol = "nb"
+		}
+	}
 
 	var up []camelot.SiteID
 	for _, id := range sites {
@@ -586,117 +647,53 @@ func runTxn(rng *rand.Rand, i int, sites []camelot.SiteID, procs map[camelot.Sit
 	if len(writers) == 0 {
 		writers = []camelot.SiteID{coord}
 	}
-	hasCoord := false
-	for _, w := range writers {
-		hasCoord = hasCoord || w == coord
-	}
-	if !hasCoord {
+	if !slices.Contains(writers, coord) {
 		writers = append(writers, coord)
 	}
 
-	tx := oracle.Txn{Key: key, Outcome: oracle.Skipped, Sites: writers}
-	t, err := procs[coord].client.Begin()
-	if err != nil {
-		return tx
-	}
-	tx.Family = t.Family
-
-	participants := map[camelot.SiteID]bool{}
-	ok := true
-	for _, w := range writers {
-		if procs[w].down {
-			ok = false
-			break
-		}
-		if err := procs[w].client.Write("store", t, key, []byte(fmt.Sprintf("v%d@%d", i, w))); err != nil {
-			ok = false
-			break
-		}
-		participants[w] = true
-	}
+	ops := storeWrites(i, key, writers)
 	// A read-only participant joins the family but holds no updates;
 	// its prepare answers with the read-only vote and drops out of
-	// phase two.
-	if ok && withReader {
-		reader := sites[readerPick%len(sites)]
-		if !procs[reader].down && !participants[reader] {
-			if _, err := procs[reader].client.Read("store", t, fmt.Sprintf("txn%04d", i/2)); err == nil {
-				participants[reader] = true
-			}
-		}
+	// phase two. Its read fails, aborting the transaction like any
+	// failed op, when the key it reads never reached that site.
+	reader := sites[readerPick%len(sites)]
+	if withReader && !procs[reader].down && !slices.Contains(writers, reader) {
+		ops = append(ops, ctl.Op{Site: reader, Server: "store", Key: fmt.Sprintf("txn%04d", i/2)})
 	}
-
-	var remote []camelot.SiteID
-	for _, id := range sites {
-		if participants[id] && id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if !ok {
-		procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-		tx.Outcome = oracle.Aborted
-		return tx
-	}
-	if len(remote) > 0 {
-		if err := procs[coord].client.AddSites(t, remote); err != nil {
-			procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-			tx.Outcome = oracle.Aborted
-			return tx
-		}
-	}
-	if protocol != "" {
-		_, err = procs[coord].client.CommitWith(t, protocol)
-	} else {
-		_, err = procs[coord].client.Commit(t, nonBlocking)
-	}
-	switch {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		tx.Outcome = oracle.Unknown
-	}
+	tx := oracle.Txn{Key: key, Outcome: oracle.Skipped, Sites: writers}
+	runOps(clientOf(procs), coord, ops, protocol, &tx) //nolint:errcheck // the outcome lands in tx
 	return tx
 }
 
-// runTxnKillCoordinator drives the mid-commit coordinator kill: coord
-// begins an all-site update transaction, its commit is issued on a
-// separate goroutine, and the process is SIGKILLed a moment later —
-// with the commit protocol somewhere between the first prepare and
-// the last ack. The client's view is Unknown unless the commit call
-// won the race.
-func runTxnKillCoordinator(i int, sites []camelot.SiteID, procs map[camelot.SiteID]*proc,
-	protocol string, coord camelot.SiteID) oracle.Txn {
-
+// allSitesTxn draws the mid-commit kill's transaction: its key
+// written at every site.
+func allSitesTxn(i int, sites []camelot.SiteID) (oracle.Txn, []ctl.Op) {
 	key := fmt.Sprintf("txn%04d", i)
-	tx := oracle.Txn{Key: key, Outcome: oracle.Skipped, Sites: sites}
-	t, err := procs[coord].client.Begin()
-	if err != nil {
+	return oracle.Txn{Key: key, Outcome: oracle.Skipped, Sites: sites}, storeWrites(i, key, sites)
+}
+
+// runTxnKillCoordinator drives the mid-commit coordinator kill: coord
+// stages ops, its commit is issued on a separate goroutine, and the
+// process is SIGKILLed a moment later — with the commit protocol
+// somewhere between the first prepare and the last ack. The client's
+// view is Unknown unless the commit call won the race.
+func runTxnKillCoordinator(procs map[camelot.SiteID]*proc, coord camelot.SiteID, ops []ctl.Op,
+	protocol string, tx oracle.Txn) oracle.Txn {
+
+	if len(ops) == 0 {
 		return tx
 	}
+	t, err := ctl.Stage(clientOf(procs), coord, ops)
 	tx.Family = t.Family
-	var remote []camelot.SiteID
-	for _, id := range sites {
-		if err := procs[id].client.Write("store", t, key, []byte(fmt.Sprintf("v%d@%d", i, id))); err != nil {
-			procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-			tx.Outcome = oracle.Aborted
-			return tx
-		}
-		if id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if err := procs[coord].client.AddSites(t, remote); err != nil {
-		procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-		tx.Outcome = oracle.Aborted
+	if err != nil {
+		tx.Outcome = outcomeOf(t, err)
 		return tx
 	}
 
 	var witnesses []*proc
-	for _, id := range sites {
-		if id != coord {
-			witnesses = append(witnesses, procs[id])
+	for _, op := range ops {
+		if op.Site != coord {
+			witnesses = append(witnesses, procs[op.Site])
 		}
 	}
 	before := settleRecv(witnesses, time.Second)
@@ -707,14 +704,7 @@ func runTxnKillCoordinator(i int, sites []camelot.SiteID, procs map[camelot.Site
 	}()
 	waitCommitUnderway(witnesses, before, time.Second)
 	procs[coord].kill()
-	switch err := <-done; {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		tx.Outcome = oracle.Unknown
-	}
+	tx.Outcome = outcomeOf(t, <-done)
 	return tx
 }
 
@@ -796,47 +786,58 @@ func probeLockRetry(probe func() error) error {
 }
 
 // survivorsResolved checks, while the killed coordinator is still
-// down, that every surviving site has resolved its transaction: the
-// key's locks must be re-acquirable (a blocked protocol would leak
-// them) and the survivors must agree on whether the key is present.
-// Violations are returned as strings for the report.
-func survivorsResolved(sites []camelot.SiteID, procs map[camelot.SiteID]*proc, tx oracle.Txn) []string {
+// down, that every surviving site resolved its piece of the
+// transaction: the piece's key must be re-lockable (a blocked
+// protocol would leak the lock) and the survivors' pieces must agree
+// — all landed or none did. A legacy transaction's pieces are its key
+// at each of its sites' "store" server; a sharded one's (server "")
+// are its writes, each at its key's home. Violations are returned as
+// strings for the report.
+func survivorsResolved(procs map[camelot.SiteID]*proc, server string, tx oracle.Txn) []string {
+	pieces := tx.Writes
+	if server != "" {
+		pieces = nil
+		for _, id := range tx.Sites {
+			pieces = append(pieces, oracle.Write{Key: tx.Key, Site: id})
+		}
+	}
+	at := clientOf(procs)
 	var out []string
-	present := make(map[camelot.SiteID]bool)
-	var survivors []camelot.SiteID
-	for _, id := range sites {
-		p := procs[id]
+	var seen []oracle.Write
+	var present []bool
+	for _, w := range pieces {
+		p := procs[w.Site]
 		if p.down {
 			continue
 		}
-		survivors = append(survivors, id)
-		// Re-acquire the transaction's own lock under a throwaway
-		// transaction: if the commit protocol is blocked on the dead
-		// coordinator, this write blocks too.
+		// Re-acquire the piece's lock under a throwaway transaction: if
+		// the commit protocol is blocked on the dead coordinator, this
+		// write blocks too.
 		if err := probeLockRetry(func() error {
-			pt, err := p.client.Begin()
-			if err != nil {
+			pt, err := ctl.Stage(at, w.Site, []ctl.Op{{Site: w.Site, Server: server, Key: w.Key, Val: []byte("probe")}})
+			if pt.IsZero() {
 				return fmt.Errorf("begin: %w", err)
 			}
-			defer p.client.Abort(pt) //nolint:errcheck // probe cleanup
-			if err := p.client.Write("store", pt, tx.Key, []byte("probe")); err != nil {
-				return fmt.Errorf("%q still locked: %w", tx.Key, err)
+			if err != nil {
+				return fmt.Errorf("%q still locked: %w", w.Key, err)
 			}
+			p.client.Abort(pt) //nolint:errcheck // probe cleanup
 			return nil
 		}); err != nil {
-			out = append(out, fmt.Sprintf("non-blocking: site %d: %v with coordinator down", id, err))
+			out = append(out, fmt.Sprintf("non-blocking: site %d: %v with coordinator down", w.Site, err))
 		}
-		_, ok, err := p.client.Peek("store", tx.Key)
+		ok, err := (&ctl.View{C: p.client, Server: server}).HasKey(w.Key)
 		if err != nil {
-			out = append(out, fmt.Sprintf("non-blocking: site %d: peek: %v", id, err))
+			out = append(out, fmt.Sprintf("non-blocking: site %d: peek %q: %v", w.Site, w.Key, err))
 			continue
 		}
-		present[id] = ok
+		seen = append(seen, w)
+		present = append(present, ok)
 	}
-	for _, id := range survivors[1:] {
-		if present[id] != present[survivors[0]] {
-			out = append(out, fmt.Sprintf("non-blocking: survivors disagree on %q with coordinator down: site %d=%v, site %d=%v",
-				tx.Key, survivors[0], present[survivors[0]], id, present[id]))
+	for k := 1; k < len(seen); k++ {
+		if present[k] != present[0] {
+			out = append(out, fmt.Sprintf("non-blocking: survivors disagree with coordinator down: site %d %q=%v, site %d %q=%v",
+				seen[0].Site, seen[0].Key, present[0], seen[k].Site, seen[k].Key, present[k]))
 		}
 	}
 	return out

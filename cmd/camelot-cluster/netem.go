@@ -280,9 +280,9 @@ func runNetem(cfg netemConfig) (*netemReport, error) {
 		real[id] = p.udpAddr
 	}
 	for _, id := range d.sites {
-		c := d.client(id)
-		if c == nil {
-			return nil, fmt.Errorf("heal: site %d unreachable", id)
+		c, err := d.client(id)
+		if err != nil {
+			return nil, fmt.Errorf("heal: %w", err)
 		}
 		if err := c.SetPeers(real); err != nil {
 			return nil, fmt.Errorf("heal: site %d: peers: %w", id, err)
@@ -424,19 +424,20 @@ func (d *netemDriver) applyProcFault(f netem.ProcFault, proxied map[camelot.Site
 	}
 }
 
-// client returns a usable control client for the site: reconnecting a
-// poisoned one, nil if the site is down, frozen, or unreachable.
-func (d *netemDriver) client(id camelot.SiteID) *ctl.Client {
+// client returns a usable control client for the site, reconnecting
+// a poisoned one; it fails if the site is down, frozen, or
+// unreachable.
+func (d *netemDriver) client(id camelot.SiteID) (*ctl.Client, error) {
 	p := d.procs[id]
 	if p.down || d.stopped[id] {
-		return nil
+		return nil, fmt.Errorf("site %d unreachable", id)
 	}
 	if p.client.Broken() {
 		if err := p.client.Reconnect(); err != nil {
-			return nil
+			return nil, fmt.Errorf("site %d unreachable", id)
 		}
 	}
-	return p.client
+	return p.client, nil
 }
 
 // runTxn drives one storm-phase transaction: coordinator rotates over
@@ -449,78 +450,27 @@ func (d *netemDriver) runTxn(i int, protocol string) oracle.Txn {
 
 	var avail []camelot.SiteID
 	for _, id := range d.sites {
-		if d.client(id) != nil {
+		if _, err := d.client(id); err == nil {
 			avail = append(avail, id)
 		}
 	}
 	if len(avail) == 0 {
 		return tx
 	}
-	coord := avail[i%len(avail)]
-	cc := d.client(coord)
-	if cc == nil {
-		return tx
-	}
 	tx.Sites = avail
-
-	t, err := cc.Begin()
-	if err != nil {
-		d.note(err)
-		return tx
-	}
-	tx.Family = t.Family
-
-	ok := true
-	var remote []camelot.SiteID
-	for _, id := range avail {
-		c := d.client(id)
-		if c == nil {
-			ok = false
-			break
-		}
-		if err := c.Write("store", t, key, []byte(fmt.Sprintf("v%d@%d", i, id))); err != nil {
-			d.note(err)
-			ok = false
-			break
-		}
-		if id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if ok && len(remote) > 0 {
-		if err := cc.AddSites(t, remote); err != nil {
-			d.note(err)
-			ok = false
-		}
-	}
-	if !ok {
-		// The write set is incomplete; abort, best-effort. A deadline
-		// on the abort itself leaves the outcome unknown.
-		if cc := d.client(coord); cc != nil {
-			if err := cc.Abort(t); err == nil {
-				tx.Outcome = oracle.Aborted
-				return tx
-			}
-			d.note(err)
-		}
-		tx.Outcome = oracle.Unknown
-		return tx
-	}
-	_, err = cc.CommitWith(t, protocol)
-	switch {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		d.note(err)
-		tx.Outcome = oracle.Unknown
-	}
+	d.note(runOps(d.client, avail[i%len(avail)], storeWrites(i, key, avail), protocol, &tx))
 	return tx
 }
 
-// note tallies deadline verdicts for the report.
+// note tallies deadline verdicts for the report: each call in err's
+// tree that came back ErrUnavailable counts once.
 func (d *netemDriver) note(err error) {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		for _, e := range j.Unwrap() {
+			d.note(e)
+		}
+		return
+	}
 	if errors.Is(err, ctl.ErrUnavailable) {
 		d.rep.Unavailable++
 	}

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"camelot/camelot"
 	"camelot/internal/ctl"
@@ -36,7 +34,7 @@ func keyHomedAt(m *shardmap.Map, prefix string, site camelot.SiteID) (string, er
 // hot keys (the skew), each write routed to its key's home site, the
 // participant set derived from the shards touched, and the commit run
 // by the per-transaction protocol cycle (or the pinned -protocol).
-func runShardTxn(rng *rand.Rand, i int, sites []camelot.SiteID, procs map[camelot.SiteID]*proc,
+func runShardTxn(rng *rand.Rand, i int, procs map[camelot.SiteID]*proc,
 	protocol string, m *shardmap.Map) oracle.Txn {
 
 	// Draw the whole schedule before consulting liveness, so a seed
@@ -81,73 +79,25 @@ func runShardTxn(rng *rand.Rand, i int, sites []camelot.SiteID, procs map[camelo
 		return tx
 	}
 	tx.Key = writes[0].Key
-
 	// The coordinator is the first key's home: always a participant,
 	// so the commit instance never needs a site outside the write set.
-	coord := writes[0].Site
-	if procs[coord].down {
-		return tx
-	}
-	t, err := procs[coord].client.Begin()
-	if err != nil {
-		return tx
-	}
-	tx.Family = t.Family
-
-	ok := true
-	participants := map[camelot.SiteID]bool{coord: true}
-	for _, w := range writes {
-		if procs[w.Site].down {
-			ok = false
-			break
-		}
-		if err := procs[w.Site].client.WriteKey(t, w.Key, []byte(fmt.Sprintf("v%d@%d", i, w.Site))); err != nil {
-			ok = false
-			break
-		}
-		participants[w.Site] = true
-	}
-	if !ok {
-		procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-		tx.Outcome = oracle.Aborted
-		return tx
-	}
-	var remote []camelot.SiteID
-	for _, id := range sites {
-		if participants[id] && id != coord {
-			remote = append(remote, id)
-		}
-	}
-	if len(remote) > 0 {
-		if err := procs[coord].client.AddSites(t, remote); err != nil {
-			procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-			tx.Outcome = oracle.Aborted
-			return tx
-		}
-	}
-	_, err = procs[coord].client.CommitWith(t, protocol)
-	switch {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		tx.Outcome = oracle.Unknown
-	}
+	runOps(clientOf(procs), writes[0].Site, keyWrites(i, writes), protocol, &tx) //nolint:errcheck // the outcome lands in tx
 	return tx
 }
 
-// runShardTxnKillCoordinator is the sharded mid-commit kill: the
-// victim coordinates a transaction whose write set straddles a shard
-// on every site, its commit is issued on a separate goroutine, and
-// the process is SIGKILLed a moment later. The survivors must resolve
-// their shards of the transaction on their own.
-func runShardTxnKillCoordinator(i int, procs map[camelot.SiteID]*proc,
-	protocol string, coord camelot.SiteID, m *shardmap.Map) oracle.Txn {
-
-	if protocol == "" {
-		protocol = shardProtocols[i%len(shardProtocols)]
+// keyWrites routes each write to its key's home site by the shard
+// map, each value naming the transaction and the site.
+func keyWrites(i int, writes []oracle.Write) []ctl.Op {
+	ops := make([]ctl.Op, 0, len(writes))
+	for _, w := range writes {
+		ops = append(ops, ctl.Op{Site: w.Site, Key: w.Key, Val: []byte(fmt.Sprintf("v%d@%d", i, w.Site))})
 	}
+	return ops
+}
+
+// shardAllSitesTxn draws the sharded mid-commit kill's transaction: a
+// write set straddling a shard on every placed site.
+func shardAllSitesTxn(i int, m *shardmap.Map) (oracle.Txn, []ctl.Op) {
 	writes := []oracle.Write{}
 	for j, id := range m.Sites() {
 		key, err := keyHomedAt(m, fmt.Sprintf("t%04d.x%d", i, j), id)
@@ -157,104 +107,8 @@ func runShardTxnKillCoordinator(i int, procs map[camelot.SiteID]*proc,
 		writes = append(writes, oracle.Write{Key: key, Site: id})
 	}
 	tx := oracle.Txn{Outcome: oracle.Skipped, Writes: writes}
-	if len(writes) == 0 {
-		return tx
+	if len(writes) > 0 {
+		tx.Key = writes[0].Key
 	}
-	tx.Key = writes[0].Key
-
-	t, err := procs[coord].client.Begin()
-	if err != nil {
-		return tx
-	}
-	tx.Family = t.Family
-	var remote []camelot.SiteID
-	for _, w := range writes {
-		if err := procs[w.Site].client.WriteKey(t, w.Key, []byte(fmt.Sprintf("v%d@%d", i, w.Site))); err != nil {
-			procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-			tx.Outcome = oracle.Aborted
-			return tx
-		}
-		if w.Site != coord {
-			remote = append(remote, w.Site)
-		}
-	}
-	if err := procs[coord].client.AddSites(t, remote); err != nil {
-		procs[coord].client.Abort(t) //nolint:errcheck // recorded as aborted regardless
-		tx.Outcome = oracle.Aborted
-		return tx
-	}
-
-	var witnesses []*proc
-	for _, w := range writes {
-		if w.Site != coord {
-			witnesses = append(witnesses, procs[w.Site])
-		}
-	}
-	before := settleRecv(witnesses, time.Second)
-	done := make(chan error, 1)
-	go func() {
-		_, err := procs[coord].client.CommitWith(t, protocol)
-		done <- err
-	}()
-	waitCommitUnderway(witnesses, before, time.Second)
-	procs[coord].kill()
-	switch err := <-done; {
-	case err == nil:
-		tx.Outcome = oracle.Committed
-	case errors.Is(err, ctl.ErrAborted):
-		tx.Outcome = oracle.Aborted
-	default:
-		tx.Outcome = oracle.Unknown
-	}
-	return tx
-}
-
-// shardSurvivorsResolved checks, while the killed coordinator is
-// still down, that every surviving site resolved its shard of the
-// transaction: the survivor's own key must be re-lockable (a blocked
-// protocol would leak the lock) and the survivors' pieces of the
-// write set must agree — all landed or none did.
-func shardSurvivorsResolved(sites []camelot.SiteID, procs map[camelot.SiteID]*proc, tx oracle.Txn) []string {
-	var out []string
-	type piece struct {
-		site    camelot.SiteID
-		key     string
-		present bool
-	}
-	var pieces []piece
-	for _, w := range tx.Writes {
-		p := procs[w.Site]
-		if p.down {
-			continue
-		}
-		if err := probeLockRetry(func() error {
-			pt, err := p.client.Begin()
-			if err != nil {
-				return fmt.Errorf("begin: %w", err)
-			}
-			defer p.client.Abort(pt) //nolint:errcheck // probe cleanup
-			if err := p.client.WriteKey(pt, w.Key, []byte("probe")); err != nil {
-				return fmt.Errorf("%q still locked: %w", w.Key, err)
-			}
-			return nil
-		}); err != nil {
-			out = append(out, fmt.Sprintf("non-blocking: site %d: %v with coordinator down", w.Site, err))
-		}
-		_, ok, err := p.client.PeekKey(w.Key)
-		if err != nil {
-			out = append(out, fmt.Sprintf("non-blocking: site %d: peek %q: %v", w.Site, w.Key, err))
-			continue
-		}
-		pieces = append(pieces, piece{site: w.Site, key: w.Key, present: ok})
-	}
-	if len(pieces) == 0 {
-		return out
-	}
-	for _, p := range pieces[1:] {
-		if p.present != pieces[0].present {
-			out = append(out, fmt.Sprintf("non-blocking: survivors' shards disagree with coordinator down: site %d %q=%v, site %d %q=%v",
-				pieces[0].site, pieces[0].key, pieces[0].present, p.site, p.key, p.present))
-		}
-	}
-	return out
+	return tx, keyWrites(i, writes)
 }

@@ -60,7 +60,7 @@ func main() {
 		retry    = flag.Duration("retry", 50*time.Millisecond, "coordinator retry interval (masks datagram loss)")
 		retryCap = flag.Duration("retry-cap", 0, "cap for the exponential retry backoff (0: 8x the retry interval)")
 		walFail  = flag.Int("wal-fail-append", -1, "fail the Nth WAL block append and every write after it (fault injection; -1: never)")
-		protocol = flag.String("protocol", "", "default commit protocol: 2pc, nb, or paxos (empty: per-request flags decide)")
+		protocol = flag.String("protocol", "", "default commit protocol for requests that name none: 2pc, nb, or paxos (empty: 2pc)")
 		shards   = flag.Int("shards", 0, "shard count for the sharded data tier (0: legacy single -server)")
 		sites    = flag.String("sites", "", "comma-separated site ids of the deployment, in placement order (required with -shards)")
 	)

@@ -276,23 +276,13 @@ func (c *Client) AddSites(t camelot.TID, sites []camelot.SiteID) error {
 	return err
 }
 
-// Commit runs the commitment protocol for t at the coordinator. A
-// clean abort returns ErrAborted (wrapped); other errors mean the
-// outcome is unknown to the client.
-func (c *Client) Commit(t camelot.TID, nonBlocking bool) (wire.Outcome, error) {
-	return c.commit(Request{Op: OpCommit,
-		Family: uint64(t.Family), Seq: uint64(t.Seq), NonBlocking: nonBlocking})
-}
-
-// CommitWith runs the commitment protocol under an explicitly named
-// protocol ("2pc", "nb", "paxos"; empty defers to the node's default).
+// CommitWith runs the commitment protocol for t at the coordinator
+// under the named protocol ("2pc", "nb", "paxos"; empty defers to the
+// node's default). A clean abort returns ErrAborted (wrapped); other
+// errors mean the outcome is unknown to the client.
 func (c *Client) CommitWith(t camelot.TID, protocol string) (wire.Outcome, error) {
-	return c.commit(Request{Op: OpCommit,
+	resp, err := c.Do(Request{Op: OpCommit,
 		Family: uint64(t.Family), Seq: uint64(t.Seq), Protocol: protocol})
-}
-
-func (c *Client) commit(req Request) (wire.Outcome, error) {
-	resp, err := c.Do(req)
 	if err != nil {
 		return wire.OutcomeUnknown, err
 	}

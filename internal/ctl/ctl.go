@@ -60,18 +60,17 @@ const (
 // integer halves (Family, Seq); peer addresses as a map keyed by the
 // decimal site id (JSON objects cannot have integer keys).
 type Request struct {
-	Op          string            `json:"op"`
-	Server      string            `json:"server,omitempty"`
-	Family      uint64            `json:"family,omitempty"`
-	Seq         uint64            `json:"seq,omitempty"`
-	Key         string            `json:"key,omitempty"`
-	Val         []byte            `json:"val,omitempty"`
-	Sites       []uint32          `json:"sites,omitempty"`
-	Peers       map[string]string `json:"peers,omitempty"`
-	NonBlocking bool              `json:"nonblocking,omitempty"`
-	// Protocol names the commit protocol explicitly ("2pc", "nb",
-	// "paxos"); empty falls back to the node's default, then to the
-	// NonBlocking flag. Only meaningful on OpCommit.
+	Op     string            `json:"op"`
+	Server string            `json:"server,omitempty"`
+	Family uint64            `json:"family,omitempty"`
+	Seq    uint64            `json:"seq,omitempty"`
+	Key    string            `json:"key,omitempty"`
+	Val    []byte            `json:"val,omitempty"`
+	Sites  []uint32          `json:"sites,omitempty"`
+	Peers  map[string]string `json:"peers,omitempty"`
+	// Protocol names the commit protocol ("2pc", "nb", "paxos");
+	// empty falls back to the node's default, then to 2PC. Only
+	// meaningful on OpCommit.
 	Protocol string `json:"protocol,omitempty"`
 }
 
@@ -129,28 +128,23 @@ type Server struct {
 }
 
 // SetDefaultProtocol sets the commit protocol used when a commit
-// request does not name one ("2pc", "nb", "paxos"; empty keeps the
-// per-request NonBlocking flag in charge).
+// request does not name one ("2pc", "nb", "paxos"; empty means 2PC).
 func (s *Server) SetDefaultProtocol(p string) { s.defaultProtocol = p }
 
-// commitOptions maps a commit request's protocol selection — the
-// request's own, else the server default, else the legacy NonBlocking
-// flag — to commit options. Paxos runs at F=1, matching the chaos
-// explorer's configuration.
-func commitOptions(req Request, def string) camelot.Options {
-	p := req.Protocol
-	if p == "" {
-		p = def
-	}
-	switch p {
+// commitOptions maps a protocol name to commit options; empty means
+// 2PC. Paxos runs at F=1, matching the chaos explorer's
+// configuration. An unknown name is an error, never a silent 2PC run
+// under the wrong label.
+func commitOptions(protocol string) (camelot.Options, error) {
+	switch protocol {
 	case "paxos":
-		return camelot.Options{Paxos: true, PaxosF: 1}
+		return camelot.Options{Paxos: true, PaxosF: 1}, nil
 	case "nb":
-		return camelot.Options{NonBlocking: true}
-	case "2pc":
-		return camelot.Options{}
+		return camelot.Options{NonBlocking: true}, nil
+	case "2pc", "":
+		return camelot.Options{}, nil
 	}
-	return camelot.Options{NonBlocking: req.NonBlocking}
+	return camelot.Options{}, fmt.Errorf("unknown commit protocol %q (want 2pc, nb, or paxos)", protocol)
 }
 
 // Serve starts a control server for node on addr (e.g.
@@ -259,7 +253,18 @@ func (s *Server) handle(req Request) Response {
 		return Response{OK: true}
 
 	case OpCommit:
-		out, err := n.Commit(t, commitOptions(req, s.defaultProtocol))
+		p := req.Protocol
+		if p == "" {
+			p = s.defaultProtocol
+		}
+		opts, err := commitOptions(p)
+		if err != nil {
+			// Nothing can commit the transaction under that name; abort
+			// it so its locks do not outlive the rejected request.
+			n.Abort(t)
+			return Response{Err: err.Error(), Outcome: wire.OutcomeAbort.String()}
+		}
+		out, err := n.Commit(t, opts)
 		resp := Response{Outcome: out.String()}
 		if err != nil {
 			resp.Err = err.Error()

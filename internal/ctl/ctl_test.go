@@ -196,3 +196,46 @@ func TestCtlShardedRoundTrip(t *testing.T) {
 	// ensure tid referenced (TID halves travel through the client).
 	_ = tid.TID{}
 }
+
+// TestCtlRejectsUnknownProtocol is the regression test for the silent
+// fallback to 2PC: a commit naming an unknown protocol must fail —
+// not commit under the wrong label — and abort the transaction, so
+// its write is gone and its lock is free for the next writer.
+func TestCtlRejectsUnknownProtocol(t *testing.T) {
+	m, err := shardmap.New(2, 4, []camelot.SiteID{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := startShardedNode(t, 1, m)
+	c.SetTimeout(time.Second)
+	key := findKey(t, m, "proto", 1)
+
+	bt, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteKey(bt, key, []byte("pxos")); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.CommitWith(bt, "pxos")
+	if err == nil || errors.Is(err, ErrAborted) || errors.Is(err, ErrUnavailable) {
+		t.Fatalf("CommitWith(pxos) = %v, %v; want a rejection", out, err)
+	}
+	if _, ok, err := c.PeekKey(key); err != nil || ok {
+		t.Fatalf("PeekKey after the rejected commit = %v, %v; want absent", ok, err)
+	}
+
+	bt, err = c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteKey(bt, key, []byte("2pc")); err != nil {
+		t.Fatalf("write after the rejected commit (leaked lock?): %v", err)
+	}
+	if _, err := c.CommitWith(bt, "2pc"); err != nil {
+		t.Fatal(err)
+	}
+	if val, _, err := c.PeekKey(key); err != nil || !bytes.Equal(val, []byte("2pc")) {
+		t.Fatalf("PeekKey = %q, %v; want 2pc", val, err)
+	}
+}

@@ -18,7 +18,7 @@
 //     `//lint:ordered <why>` justification;
 //   - walltime:  no wall-clock reads or global math/rand in simulated
 //     packages — virtual clock (rt.Runtime) and seeded sources only;
-//   - rawgo:     no raw `go` statements outside the cthreads/sim
+//   - rawgo:     no raw `go` statements outside the rt/sim
 //     kernel, where a goroutine would escape the cooperative
 //     scheduler;
 //   - tracepair: every wal force in protocol code emits its matching

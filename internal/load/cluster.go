@@ -190,52 +190,40 @@ func (c *Cluster) keyFor(site camelot.SiteID) string {
 func (c *Cluster) Txn(session, seq int, protocol string) error {
 	n := len(c.nodes)
 	coordIdx := session % n
-	remoteIdx := (coordIdx + 1) % n
-
-	coord, err := c.pools[coordIdx].Get()
-	if err != nil {
-		return err
+	idxs := []int{coordIdx}
+	if remoteIdx := (coordIdx + 1) % n; remoteIdx != coordIdx {
+		idxs = append(idxs, remoteIdx)
 	}
-	defer c.pools[coordIdx].Put(coord)
-
-	t, err := coord.Begin()
-	if err != nil {
-		return err
-	}
-	if err := c.write(coord, coordIdx, t); err != nil {
-		coord.Abort(t) //nolint:errcheck // already failing
-		return err
-	}
-	if remoteIdx != coordIdx {
-		remote, err := c.pools[remoteIdx].Get()
+	clients := make(map[camelot.SiteID]*ctl.Client, len(idxs))
+	ops := make([]ctl.Op, 0, len(idxs))
+	for _, i := range idxs {
+		cl, err := c.pools[i].Get()
 		if err != nil {
-			coord.Abort(t) //nolint:errcheck // already failing
 			return err
 		}
-		werr := c.write(remote, remoteIdx, t)
-		c.pools[remoteIdx].Put(remote)
-		if werr != nil {
-			coord.Abort(t) //nolint:errcheck // already failing
-			return werr
-		}
-		if err := coord.AddSites(t, []camelot.SiteID{c.nodes[remoteIdx].ID()}); err != nil {
-			coord.Abort(t) //nolint:errcheck // already failing
-			return err
-		}
+		defer c.pools[i].Put(cl)
+		site := c.nodes[i].ID()
+		clients[site] = cl
+		ops = append(ops, c.write(site))
 	}
-	if _, err := coord.CommitWith(t, protocol); err != nil && !errors.Is(err, ctl.ErrAborted) {
+	at := func(site camelot.SiteID) (*ctl.Client, error) { return clients[site], nil }
+	coord := c.nodes[coordIdx].ID()
+	t, err := ctl.Stage(at, coord, ops)
+	if err != nil {
+		return err
+	}
+	if _, err := clients[coord].CommitWith(t, protocol); err != nil && !errors.Is(err, ctl.ErrAborted) {
 		return err
 	}
 	return nil
 }
 
-// write performs one update at the node behind cl, routed through the
-// shard map when one is installed.
-func (c *Cluster) write(cl *ctl.Client, nodeIdx int, t camelot.TID) error {
-	site := c.nodes[nodeIdx].ID()
-	key := c.keyFor(site)
-	if c.smap != nil {
-		return cl.WriteKey(t, key, []byte("v"))
+// write is one update at site of a fresh key homed there, routed
+// through the shard map when one is installed.
+func (c *Cluster) write(site camelot.SiteID) ctl.Op {
+	op := ctl.Op{Site: site, Key: c.keyFor(site), Val: []byte("v")}
+	if c.smap == nil {
+		op.Server = "store"
 	}
-	return cl.Write("store", t, key, []byte("v"))
+	return op
 }

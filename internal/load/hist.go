@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"time"
 )
 
@@ -99,14 +100,16 @@ func (h *Hist) Mean() time.Duration {
 	return h.sum / time.Duration(h.total)
 }
 
-// Percentile returns the p-th percentile (0 < p ≤ 100) as the upper
-// bound of the bucket holding that rank — an overestimate by at most
-// the 7% bucket width. Zero observations yield zero.
+// Percentile returns the p-th percentile (0 < p ≤ 100): the nearest
+// rank ⌈p/100·n⌉, reported as the upper bound of the bucket holding
+// it — an overestimate by at most the 7% bucket width — clamped to
+// the exact maximum, so no percentile ever exceeds Max. Zero
+// observations yield zero.
 func (h *Hist) Percentile(p float64) time.Duration {
 	if h.total == 0 {
 		return 0
 	}
-	rank := int64(p / 100 * float64(h.total))
+	rank := int64(math.Ceil(p / 100 * float64(h.total)))
 	if rank < 1 {
 		rank = 1
 	}
@@ -120,7 +123,7 @@ func (h *Hist) Percentile(p float64) time.Duration {
 			if i == histBuckets-1 {
 				return h.max
 			}
-			return histBounds[i]
+			return min(histBounds[i], h.max)
 		}
 	}
 	return h.max

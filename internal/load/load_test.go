@@ -122,6 +122,30 @@ func TestHistPercentilesAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestHistPercentileNearestRankClampedToMax pins the nearest-rank
+// rule and the clamp to the exact maximum: p99.9 of two observations
+// is the larger one (rank ⌈1.998⌉ = 2), never the smaller one's bucket
+// and never a bucket bound above the maximum, and the median of three
+// is the second, never the first.
+func TestHistPercentileNearestRankClampedToMax(t *testing.T) {
+	h := &Hist{}
+	h.Add(time.Millisecond)
+	h.Add(11700 * time.Microsecond)
+	if got := h.Percentile(99.9); got != 11700*time.Microsecond {
+		t.Fatalf("p99.9 of {1ms, 11.7ms} = %v, want 11.7ms", got)
+	}
+	h = &Hist{}
+	for _, ms := range []time.Duration{1, 2, 3} {
+		h.Add(ms * time.Millisecond)
+	}
+	if got := h.Percentile(50); got < 2*time.Millisecond {
+		t.Fatalf("p50 of {1, 2, 3}ms = %v, below 2ms", got)
+	}
+	if got := h.Percentile(100); got != h.Max() {
+		t.Fatalf("p100 = %v, want Max %v", got, h.Max())
+	}
+}
+
 // TestHistMerge: merging per-session histograms equals recording into
 // one.
 func TestHistMerge(t *testing.T) {
